@@ -1308,14 +1308,23 @@ let quick_run json_file =
             J.Obj (List.rev_map (fun (k, v) -> (k, J.Float v)) !metrics) );
         ]
     in
-    let oc = open_out file in
-    output_string oc (J.to_string json);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." file;
+    (* Side artifacts sit next to FILE and are named from its stem
+       (bench-quick.json -> bench-quick_arena.json, ...), so only
+       [--json BENCH.json] rewrites the committed BENCH_*.json. *)
+    let side suffix =
+      Filename.concat (Filename.dirname file)
+        (Filename.remove_extension (Filename.basename file) ^ suffix)
+    in
+    let write path j =
+      let oc = open_out path in
+      output_string oc (J.to_string j);
+      output_string oc "\n";
+      close_out oc;
+      Fmt.pr "wrote %s@." path
+    in
+    write file json;
     (* The cluster numbers also ship as their own artifact, keyed by
        shard count, so scaling regressions diff cleanly across runs. *)
-    let cluster_file = "BENCH_cluster.json" in
     let cluster_json =
       J.Obj
         [
@@ -1343,15 +1352,10 @@ let quick_run json_file =
                rps4 /. rps1) );
         ]
     in
-    let oc = open_out cluster_file in
-    output_string oc (J.to_string cluster_json);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." cluster_file;
+    write (side "_cluster.json") cluster_json;
     (* Tracing cost ships as its own artifact too: the flight recorder
        is always on in production, so its hot-path overhead is a
        budget (<= 5%) that diffs should be able to flag. *)
-    let trace_file = "BENCH_trace.json" in
     let trace_json =
       J.Obj
         [
@@ -1364,15 +1368,10 @@ let quick_run json_file =
           ("budget_pct", J.Float 5.);
         ]
     in
-    let oc = open_out trace_file in
-    output_string oc (J.to_string trace_json);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." trace_file;
+    write (side "_trace.json") trace_json;
     (* Arena-engine numbers ship as their own artifact: the >= 5x
        per-point bar (and the tree/arena identity) should diff
        cleanly across runs. *)
-    let arena_file = "BENCH_arena.json" in
     let arena_json =
       J.Obj
         [
@@ -1388,11 +1387,7 @@ let quick_run json_file =
           ("identical_to_tree", J.Bool arena_identical);
         ]
     in
-    let oc = open_out arena_file in
-    output_string oc (J.to_string arena_json);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." arena_file
+    write (side "_arena.json") arena_json
 
 let () =
   let quick = ref false in

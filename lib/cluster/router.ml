@@ -6,11 +6,8 @@ module Traceview = Skope_service.Traceview
 module Client = Skope_service.Client
 module Protocol = Skope_service.Protocol
 module Service_api = Skope_service.Service_api
-module Fingerprint = Skope_service.Fingerprint
 module Server = Skope_service.Server
 module Dispatch = Skope_service.Dispatch
-module Registry = Core.Workloads.Registry
-module Hotspot = Core.Analysis.Hotspot
 
 type member_spec = { m_id : string; m_host : string; m_port : int }
 
@@ -136,42 +133,17 @@ let observe_health t m ~ok =
 
 let body_key body = Digest.to_hex (Digest.string body)
 
-(* The same fingerprint the shard's cache will use, computed without
-   running anything: resolve the machine (catalog + overrides) and the
-   workload's default scale exactly as Dispatch.query_parts does.  A
-   query that fails to resolve still routes deterministically (by body
-   hash) — the owning shard then returns the structured error. *)
-let query_fingerprint (q : Protocol.query) =
-  match Protocol.resolve_machine q with
-  | Error _ -> None
-  | Ok machine -> (
-    match Registry.find q.Protocol.workload with
-    | None -> None
-    | Some w ->
-      let scale =
-        Option.value ~default:w.Registry.default_scale q.Protocol.scale
-      in
-      let criteria =
-        {
-          Hotspot.time_coverage = q.Protocol.coverage;
-          code_leanness = q.Protocol.leanness;
-        }
-      in
-      let engine =
-        Option.value ~default:Core.Pipeline.Tree q.Protocol.engine
-      in
-      Some
-        (Fingerprint.of_query ~workload:q.Protocol.workload ~machine ~scale
-           ~criteria ~top:q.Protocol.top
-           ~engine:(Core.Pipeline.engine_to_string engine)))
-
 (* Sweep and explore key on their base query: the whole fan-out lands
    on one shard, where its points share the LRU (and explore its
    prepared BET).  Spreading the points instead would defeat both. *)
 let affinity_key t request body =
   match request with
   | Protocol.Analyze q | Protocol.Sweep (q, _) | Protocol.Explore (q, _) -> (
-    match query_fingerprint q with
+    (* The key the owning shard's result cache will use, computed
+       without running anything.  A query that fails to resolve still
+       routes deterministically (by body hash); the owning shard then
+       returns the structured error. *)
+    match Dispatch.query_fingerprint q with
     | Some fp -> fp
     | None -> body_key body)
   | Protocol.Lint _ | Protocol.Audit _ -> body_key body

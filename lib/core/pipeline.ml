@@ -208,17 +208,6 @@ module Prepared = struct
       o_state = Some p;
     }
 
-  (** Repackage a tree-engine [analysis] (for callers bridging the two
-      APIs, e.g. cached render paths). *)
-  let of_analysis (a : analysis) : outcome =
-    {
-      o_machine = a.a_projection.Perf.machine;
-      o_blocks = a.a_projection.Perf.blocks;
-      o_total_time = a.a_projection.Perf.total_time;
-      o_selection = a.a_selection;
-      o_state = None;
-    }
-
   let project ?(criteria = Hotspot.default_criteria)
       ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (t : t)
       (machine : Machine.t) : outcome =

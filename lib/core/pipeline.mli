@@ -147,9 +147,6 @@ module Prepared : sig
       should store them stripped). *)
   val strip_state : outcome -> outcome
 
-  (** Repackage a tree-engine {!type-analysis}. *)
-  val of_analysis : analysis -> outcome
-
   (** Price one machine point. *)
   val project :
     ?criteria:Hotspot.criteria ->

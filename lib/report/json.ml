@@ -12,6 +12,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -65,6 +66,7 @@ let rec write buf = function
         write buf v)
       fields;
     Buffer.add_char buf '}'
+  | Raw text -> Buffer.add_string buf text
 
 let to_string t =
   let buf = Buffer.create 256 in

@@ -11,6 +11,11 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** Pre-serialized JSON text, written out verbatim.  Build it only
+          from {!to_string} output (e.g. a cached result spliced into a
+          response envelope); the parser never produces it and the
+          accessors treat it as opaque. *)
 
 val to_string : t -> string
 

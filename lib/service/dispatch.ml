@@ -16,15 +16,25 @@ type config = { max_request_bytes : int; cache_capacity : int }
 
 let default_config = { max_request_bytes = 1 lsl 20; cache_capacity = 4096 }
 
+type cached = { bytes : string; total_ms : float }
+
+(* Prepared BETs kept across requests.  A registry workload's handle
+   is 10-58 KB at its default scale, so 64 of them bound the cache
+   at a few MB while covering every (workload, scale, engine) a
+   design-space session keeps returning to. *)
+let prepared_capacity = 64
+
 type t = {
   config : config;
-  cache : Json.t Lru.t;
+  cache : cached Lru.t;
+  prepared : P.Prepared.t Lru.t;
   metrics : Metrics.t;
   recorder : Recorder.t;
 }
 
 let create ?(config = default_config) () =
   let cache = Lru.create ~capacity:config.cache_capacity in
+  let prepared = Lru.create ~capacity:prepared_capacity in
   let metrics = Metrics.create () in
   let recorder = Recorder.create () in
   (* Fold pipeline spans into this dispatcher's per-phase histograms.
@@ -41,7 +51,10 @@ let create ?(config = default_config) () =
   Metrics.register_gauge metrics ~name:"skope_lru_capacity"
     ~help:"Projection cache capacity." (fun () ->
       float_of_int (Lru.capacity cache));
-  { config; cache; metrics; recorder }
+  Metrics.register_gauge metrics ~name:"skope_prepared_entries"
+    ~help:"Prepared-BET cache occupancy." (fun () ->
+      float_of_int (Lru.length prepared));
+  { config; cache; prepared; metrics; recorder }
 
 exception Reject of Protocol.error_code * string
 
@@ -68,7 +81,6 @@ let json_of_spot rank total (b : Blockstat.t) =
    these bytes); responses echo it at the top level instead. *)
 let render_outcome ~(workload : Registry.t) ~(machine : Machine.t) ~scale ~top
     ~bet_nodes (o : P.Prepared.outcome) =
-  Span.with_ ~name:"report" (fun () ->
   let total = o.P.Prepared.o_total_time in
   let spots =
     List.filteri (fun i _ -> i < top) o.P.Prepared.o_blocks
@@ -98,26 +110,9 @@ let render_outcome ~(workload : Registry.t) ~(machine : Machine.t) ~scale ~top
             ("coverage", Json.Float sel.Hotspot.coverage);
             ("leanness", Json.Float sel.Hotspot.leanness);
           ] );
-    ])
+    ]
 
-let render_analysis ~(workload : Registry.t) ~(machine : Machine.t) ~scale ~top
-    (a : P.analysis) =
-  render_outcome ~workload ~machine ~scale ~top ~bet_nodes:a.P.a_built.node_count
-    (P.Prepared.of_analysis a)
-
-let analysis_result ~(workload : Registry.t) ~(machine : Machine.t) ~scale
-    ~criteria ~top ~engine =
-  match engine with
-  | P.Tree ->
-    let a = P.analyze ~criteria ~machine ~workload ~scale () in
-    render_analysis ~workload ~machine ~scale ~top a
-  | P.Arena ->
-    let prep = P.Prepared.create ~engine ~workload ~scale () in
-    let o = P.Prepared.project ~criteria prep machine in
-    render_outcome ~workload ~machine ~scale ~top
-      ~bet_nodes:(P.Prepared.built prep).node_count o
-
-(* --- cached projection --------------------------------------------- *)
+(* --- resolved projection queries ----------------------------------- *)
 
 let lookup_workload name =
   match Registry.find name with
@@ -126,98 +121,137 @@ let lookup_workload name =
     reject Protocol.Unknown_workload
       (Printf.sprintf "unknown workload %S (try the workloads request)" name)
 
-(* One projection, through the cache.  The fingerprint covers every
-   machine parameter (but the response embeds the machine's catalog
-   name), so an [analyze] with overrides and a [sweep] variant with
-   the same parameters share a slot. *)
-let cached_analysis t ~(workload : Registry.t) ~(machine : Machine.t) ~scale
-    ~criteria ~top ~engine =
-  let key =
-    Fingerprint.of_query ~workload:workload.Registry.name ~machine ~scale
-      ~criteria ~top ~engine:(P.engine_to_string engine)
+(* Everything a projection request (analyze, sweep, explore) reads,
+   resolved once per request.  For a fan-out [machine] is the base
+   machine. *)
+type projection = {
+  workload : Registry.t;
+  machine : Machine.t;
+  scale : float;
+  criteria : Hotspot.criteria;
+  top : int;
+  engine : P.engine;
+}
+
+(* The result-cache key.  The fingerprint covers every machine
+   parameter (but the response embeds the machine's catalog name), so
+   an [analyze] with overrides and a sweep variant with the same
+   parameters share a slot. *)
+let result_key (p : projection) machine =
+  Fingerprint.of_query ~workload:p.workload.Registry.name ~machine
+    ~scale:p.scale ~criteria:p.criteria ~top:p.top
+    ~engine:(P.engine_to_string p.engine)
+
+let resolve_projection (q : Protocol.query) =
+  let workload = lookup_workload q.Protocol.workload in
+  let machine =
+    match Protocol.resolve_machine q with
+    | Ok m -> m
+    | Error (code, msg) -> reject code msg
   in
+  {
+    workload;
+    machine;
+    scale =
+      Option.value ~default:workload.Registry.default_scale q.Protocol.scale;
+    criteria =
+      {
+        Hotspot.time_coverage = q.Protocol.coverage;
+        code_leanness = q.Protocol.leanness;
+      };
+    top = q.Protocol.top;
+    engine = Option.value ~default:P.Tree q.Protocol.engine;
+  }
+
+let query_fingerprint q =
+  match resolve_projection q with
+  | p -> Some (result_key p p.machine)
+  | exception Reject _ -> None
+
+(* --- the two caches ------------------------------------------------ *)
+
+(* The prepared prefix (workload make, validate, lint, BET build)
+   depends only on what [Prepared.create] reads: the workload, the
+   exact scale and the engine (service requests carry no hints).  A
+   failed build raises out of here before [Lru.add], so a workload
+   that does not validate or lint is re-checked — and rejected — on
+   every request.  Handles are shared read-only across worker domains
+   (pricing state is per call); two racing misses may both build, and
+   the later [add] wins harmlessly. *)
+let prepared_handle t (p : projection) =
+  let key =
+    Printf.sprintf "%s;%Lx;%s" p.workload.Registry.name
+      (Int64.bits_of_float p.scale)
+      (P.engine_to_string p.engine)
+  in
+  match Lru.find t.prepared key with
+  | Some h ->
+    Span.count "prepared_reuse_hits" 1.;
+    h
+  | None ->
+    let h =
+      Span.with_ ~name:"prepare" (fun () ->
+          P.Prepared.create ~engine:p.engine ~workload:p.workload
+            ~scale:p.scale ())
+    in
+    Span.count "prepared_builds" 1.;
+    Lru.add t.prepared key h;
+    h
+
+let entry_of_outcome (p : projection) prep machine (o : P.Prepared.outcome) =
+  Span.with_ ~name:"report" (fun () ->
+      let json =
+        render_outcome ~workload:p.workload ~machine ~scale:p.scale ~top:p.top
+          ~bet_nodes:(P.Prepared.built prep).node_count o
+      in
+      {
+        bytes = Json.to_string json;
+        total_ms = o.P.Prepared.o_total_time *. 1e3;
+      })
+
+let cached t key compute =
   match Lru.find t.cache key with
-  | Some json ->
+  | Some c ->
     Metrics.cache_hit t.metrics;
-    json
+    c
   | None ->
     Metrics.cache_miss t.metrics;
-    let json =
-      analysis_result ~workload ~machine ~scale ~criteria ~top ~engine
-    in
-    Lru.add t.cache key json;
-    json
-
-let resolve q =
-  match Protocol.resolve_machine q with
-  | Ok m -> m
-  | Error (code, msg) -> reject code msg
-
-let query_parts (q : Protocol.query) =
-  let workload = lookup_workload q.Protocol.workload in
-  let machine = resolve q in
-  let scale =
-    Option.value ~default:workload.Registry.default_scale q.Protocol.scale
-  in
-  let criteria =
-    {
-      Hotspot.time_coverage = q.Protocol.coverage;
-      code_leanness = q.Protocol.leanness;
-    }
-  in
-  let engine = Option.value ~default:P.Tree q.Protocol.engine in
-  (workload, machine, scale, criteria, engine)
+    let c = compute () in
+    Lru.add t.cache key c;
+    c
 
 (* --- request kinds ------------------------------------------------- *)
 
-let run_analyze t (q : Protocol.query) =
-  let workload, machine, scale, criteria, engine = query_parts q in
-  cached_analysis t ~workload ~machine ~scale ~criteria ~top:q.Protocol.top
-    ~engine
-
-(* One fan-out point (sweep variant or explore grid point), through
-   the cache.  Unlike [cached_analysis] a miss does NOT rerun the full
-   pipeline: it re-prices the shared prepared BET, which is the whole
-   point — and under the arena engine, consecutive misses delta-chain
-   through [prev] so a single-axis step re-prices only dependent
-   nodes. *)
-let cached_point t ~prepared ~prev ~(workload : Registry.t)
-    ~(machine : Machine.t) ~scale ~criteria ~top ~engine =
-  let key =
-    Fingerprint.of_query ~workload:workload.Registry.name ~machine ~scale
-      ~criteria ~top ~engine:(P.engine_to_string engine)
+let run_analyze t (p : projection) ~key =
+  let c =
+    cached t key (fun () ->
+        let prep = prepared_handle t p in
+        entry_of_outcome p prep p.machine
+          (P.Prepared.project ~criteria:p.criteria prep p.machine))
   in
-  match Lru.find t.cache key with
-  | Some json ->
-    Metrics.cache_hit t.metrics;
-    json
-  | None ->
-    Metrics.cache_miss t.metrics;
-    let prep = Lazy.force prepared in
-    let o =
-      match !prev with
-      | Some p -> P.Prepared.project_delta ~criteria ~prev:p prep machine
-      | None -> P.Prepared.project ~criteria prep machine
-    in
-    prev := Some o;
-    Span.count "explore_bet_reuse_hits" 1.;
-    let json =
-      render_outcome ~workload ~machine ~scale ~top
-        ~bet_nodes:(P.Prepared.built prep).node_count o
-    in
-    Lru.add t.cache key json;
-    json
+  Json.Raw c.bytes
 
-let run_sweep t (q : Protocol.query) axis ~check_deadline =
-  let workload, base, scale, criteria, engine = query_parts q in
-  (* Arena sweeps share one prepared handle across all variants (and
-     delta-chain them); the tree engine keeps the historical
-     one-pipeline-per-variant path.  Both render identical points. *)
-  let prepared =
-    lazy
-      (Span.with_ ~name:"prepare" (fun () ->
-           P.Prepared.create ~engine ~workload ~scale ()))
-  in
+(* One fan-out point (sweep variant or explore grid point).  Misses
+   re-price the request's one prepared handle, forced on the first
+   miss — so a fully cached fan-out touches no BET at all — and under
+   the arena engine consecutive misses delta-chain through [prev], so
+   a single-axis step re-prices only dependent nodes. *)
+let cached_point t (p : projection) ~prepared ~prev machine =
+  cached t (result_key p machine) (fun () ->
+      let prep = Lazy.force prepared in
+      let o =
+        match !prev with
+        | Some q ->
+          P.Prepared.project_delta ~criteria:p.criteria ~prev:q prep machine
+        | None -> P.Prepared.project ~criteria:p.criteria prep machine
+      in
+      prev := Some o;
+      Span.count "explore_bet_reuse_hits" 1.;
+      entry_of_outcome p prep machine o)
+
+let run_sweep t (p : projection) axis ~check_deadline =
+  let base = p.machine in
+  let prepared = lazy (prepared_handle t p) in
   let prev = ref None in
   let points =
     Designspace.variants base axis
@@ -227,47 +261,28 @@ let run_sweep t (q : Protocol.query) axis ~check_deadline =
            (* Re-normalize the variant's name so its fingerprint (and
               rendered result) match an equivalent override query. *)
            let machine = { variant with Machine.name = base.Machine.name } in
-           let analysis =
-             match engine with
-             | P.Tree ->
-               cached_analysis t ~workload ~machine ~scale ~criteria
-                 ~top:q.Protocol.top ~engine
-             | P.Arena ->
-               cached_point t ~prepared ~prev ~workload ~machine ~scale
-                 ~criteria ~top:q.Protocol.top ~engine
-           in
-           Json.Obj [ ("tag", Json.String tag); ("analysis", analysis) ])
+           let c = cached_point t p ~prepared ~prev machine in
+           Json.Obj
+             [ ("tag", Json.String tag); ("analysis", Json.Raw c.bytes) ])
   in
   Json.Obj
     [
-      ("workload", Json.String workload.Registry.name);
+      ("workload", Json.String p.workload.Registry.name);
       ("machine", Json.String base.Machine.name);
-      ("engine", Json.String (P.engine_to_string engine));
+      ("engine", Json.String (P.engine_to_string p.engine));
       ("axis", Json.String (Designspace.axis_name axis));
       ("points", Json.List points);
     ]
 
-let total_ms_of_analysis json =
-  match Json.member "total_ms" json with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int i) -> float_of_int i
-  | _ -> 0.
-
-let run_explore t (q : Protocol.query) (spec : Protocol.explore_spec)
+let run_explore t (p : projection) (spec : Protocol.explore_spec)
     ~check_deadline =
-  let workload, base, scale, criteria, engine = query_parts q in
+  let base = p.machine in
   let pts =
     Explore.grid_points ?sample:spec.Protocol.e_sample ~seed:spec.Protocol.e_seed
       base spec.Protocol.e_axes
   in
   let n = List.length pts in
-  (* The machine-independent prefix, built at most once per request —
-     and not at all when every point is served from the cache. *)
-  let prepared =
-    lazy
-      (Span.with_ ~name:"prepare" (fun () ->
-           P.Prepared.create ~engine ~workload ~scale ()))
-  in
+  let prepared = lazy (prepared_handle t p) in
   let prev = ref None in
   let completed = ref 0 in
   let points =
@@ -280,17 +295,17 @@ let run_explore t (q : Protocol.query) (spec : Protocol.explore_spec)
            reject code
              (Printf.sprintf "%s after %d of %d points" msg !completed n));
         let machine = pt.Designspace.p_machine in
-        let analysis =
-          cached_point t ~prepared ~prev ~workload ~machine ~scale ~criteria
-            ~top:q.Protocol.top ~engine
-        in
+        let c = cached_point t p ~prepared ~prev machine in
         Span.count "explore_points_evaluated" 1.;
         incr completed;
         ( pt,
-          total_ms_of_analysis analysis,
+          c.total_ms,
           Explore.cost_proxy machine,
           Json.Obj
-            [ ("tag", Json.String pt.Designspace.p_tag); ("analysis", analysis) ]
+            [
+              ("tag", Json.String pt.Designspace.p_tag);
+              ("analysis", Json.Raw c.bytes);
+            ]
         ))
       pts
   in
@@ -319,9 +334,9 @@ let run_explore t (q : Protocol.query) (spec : Protocol.explore_spec)
   in
   Json.Obj
     ([
-       ("workload", Json.String workload.Registry.name);
+       ("workload", Json.String p.workload.Registry.name);
        ("machine", Json.String base.Machine.name);
-       ("engine", Json.String (P.engine_to_string engine));
+       ("engine", Json.String (P.engine_to_string p.engine));
        ("axes", Json.List axes);
        ("grid", Json.Int (Designspace.grid_size spec.Protocol.e_axes));
      ]
@@ -513,6 +528,7 @@ let run_stats t =
           [
             ("entries", Json.Int (Lru.length t.cache));
             ("capacity", Json.Int (Lru.capacity t.cache));
+            ("prepared_entries", Json.Int (Lru.length t.prepared));
           ] );
     ]
 
@@ -540,33 +556,6 @@ let run_trace t id =
           requests)"
          id
          (Recorder.capacity t.recorder))
-
-(* The same cache key the LRU will use, recorded so a flight-recorder
-   entry can be correlated with cache hits/misses and with the
-   router's affinity decision for the same query. *)
-let request_fingerprint = function
-  | Protocol.Analyze q | Protocol.Sweep (q, _) | Protocol.Explore (q, _) -> (
-    match Protocol.resolve_machine q with
-    | Error _ -> None
-    | Ok machine -> (
-      match Registry.find q.Protocol.workload with
-      | None -> None
-      | Some w ->
-        let scale =
-          Option.value ~default:w.Registry.default_scale q.Protocol.scale
-        in
-        let criteria =
-          {
-            Hotspot.time_coverage = q.Protocol.coverage;
-            code_leanness = q.Protocol.leanness;
-          }
-        in
-        let engine = Option.value ~default:P.Tree q.Protocol.engine in
-        Some
-          (Fingerprint.of_query ~workload:q.Protocol.workload ~machine ~scale
-             ~criteria ~top:q.Protocol.top
-             ~engine:(P.engine_to_string engine))))
-  | _ -> None
 
 (* --- entry point --------------------------------------------------- *)
 
@@ -618,7 +607,25 @@ let handle ?received_at t body =
       let timeout_ms = envelope.Protocol.timeout_ms in
       kind := Protocol.kind_label request;
       Span.set_attr "kind" !kind;
-      fingerprint := request_fingerprint request;
+      (* A projection query is resolved once, ahead of the deadline
+         check so the recorder logs its cache key even when the
+         request then expires; an analyze is looked up under that key.
+         A resolution error is raised only when the request runs. *)
+      let resolved =
+        match request with
+        | Protocol.Analyze q | Protocol.Sweep (q, _) | Protocol.Explore (q, _)
+          -> (
+          match resolve_projection q with
+          | p ->
+            let key = result_key p p.machine in
+            fingerprint := Some key;
+            Ok (p, key)
+          | exception Reject (code, msg) -> Error (code, msg))
+        | _ -> Error (Protocol.Invalid_request, "not a projection request")
+      in
+      let projection () =
+        match resolved with Ok r -> r | Error (code, msg) -> reject code msg
+      in
       let check_deadline () =
         match timeout_ms with
         | Some ms when Unix.gettimeofday () -. received_at > ms /. 1e3 ->
@@ -629,9 +636,13 @@ let handle ?received_at t body =
       check_deadline ();
       let result =
         match request with
-        | Protocol.Analyze q -> run_analyze t q
-        | Protocol.Sweep (q, axis) -> run_sweep t q axis ~check_deadline
-        | Protocol.Explore (q, spec) -> run_explore t q spec ~check_deadline
+        | Protocol.Analyze _ ->
+          let p, key = projection () in
+          run_analyze t p ~key
+        | Protocol.Sweep (_, axis) ->
+          run_sweep t (fst (projection ())) axis ~check_deadline
+        | Protocol.Explore (_, spec) ->
+          run_explore t (fst (projection ())) spec ~check_deadline
         | Protocol.Lint q -> run_lint q
         | Protocol.Audit q -> run_audit q
         | Protocol.Workloads -> run_workloads ()

@@ -12,9 +12,21 @@ type config = {
 
 val default_config : config
 
+(** A cached projection result: its serialized JSON object, spliced
+    verbatim into responses, and the [total_ms] an explore Pareto
+    frontier ranks by. *)
+type cached = { bytes : string; total_ms : float }
+
+(** Slots in the prepared-BET cache (one per workload, exact scale and
+    engine).  A constant, not a [config] field. *)
+val prepared_capacity : int
+
 type t = {
   config : config;
-  cache : Json.t Lru.t;  (** fingerprint -> analyze result object *)
+  cache : cached Lru.t;  (** fingerprint -> analyze result *)
+  prepared : Core.Pipeline.Prepared.t Lru.t;
+      (** workload/scale/engine -> machine-independent prefix, reused
+          by every miss; failed builds are never stored *)
   metrics : Metrics.t;
   recorder : Skope_telemetry.Recorder.t;
       (** flight recorder behind [{"kind":"recent"}] / [{"kind":"trace"}] *)
@@ -30,3 +42,9 @@ val create : ?config:config -> unit -> t
     is adopted (and echoed as ["trace_id"]); otherwise an id is
     minted. *)
 val handle : ?received_at:float -> t -> string -> string
+
+(** The result-cache fingerprint an analyze, sweep or explore query
+    resolves to ([None] when its workload or machine does not
+    resolve).  The cluster router routes on it, so a query lands on
+    the shard whose cache holds it. *)
+val query_fingerprint : Protocol.query -> string option

@@ -399,6 +399,58 @@ let test_capabilities_engines () =
       (List.filter_map (function Json.String s -> Some s | _ -> None) l)
   | _ -> Alcotest.fail "capabilities missing bet_engines"
 
+(* --- prepared-BET reuse across requests ------------------------------ *)
+
+let analyze_body ~workload ~machine ~engine =
+  Printf.sprintf
+    {|{"kind":"analyze","workload":%S,"machine":%S,"engine":%S,"trace":{"id":"t-prep"}}|}
+    workload machine engine
+
+(* An analyze priced on a prepared handle left behind by an earlier
+   request (same workload, other machine) replies with exactly the
+   bytes a fresh dispatcher computes from scratch, on every workload,
+   machine and engine. *)
+let test_warm_prefix_identity () =
+  List.iter
+    (fun (w : Registry.t) ->
+      List.iter
+        (fun engine ->
+          List.iter
+            (fun (machine, other) ->
+              let body = analyze_body ~workload:w.Registry.name ~engine in
+              let warm = Service.Dispatch.create () in
+              ignore (handle ~dispatch:warm (body ~machine:other));
+              let reused = handle ~dispatch:warm (body ~machine) in
+              let fresh = handle (body ~machine) in
+              Alcotest.(check string)
+                (Printf.sprintf "%s/%s/%s" w.Registry.name machine engine)
+                fresh reused)
+            [ ("bgq", "xeon"); ("xeon", "bgq") ])
+        [ "tree"; "arena" ])
+    Registry.all
+
+(* The same for a fan-out: a sweep and an explore (points and pareto)
+   whose prepared handle comes from an earlier analyze. *)
+let test_warm_prefix_fanout_identity () =
+  let check label body =
+    let warm = Service.Dispatch.create () in
+    ignore
+      (handle ~dispatch:warm
+         (analyze_body ~workload:"sord" ~machine:"xeon" ~engine:"arena"));
+    ignore
+      (handle ~dispatch:warm
+         (analyze_body ~workload:"sord" ~machine:"xeon" ~engine:"tree"));
+    let reused = handle ~dispatch:warm body in
+    Alcotest.(check string) label (handle body) reused;
+    match Json.member "pareto" (result_of reused) with
+    | None | Some (Json.List (_ :: _)) -> ()
+    | Some _ -> Alcotest.failf "%s: empty pareto" label
+  in
+  check "sweep"
+    {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[7,14,28],"trace":{"id":"t-prep"}}|};
+  check "explore"
+    {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}],"engine":"arena","trace":{"id":"t-prep"}}|}
+
 let suite =
   [
     ( "arena.structure",
@@ -432,5 +484,12 @@ let suite =
           test_engine_wire_identity;
         Alcotest.test_case "capabilities advertise engines" `Quick
           test_capabilities_engines;
+      ] );
+    ( "arena.prepared_cache",
+      [
+        Alcotest.test_case "warm analyze = fresh, fleet" `Quick
+          test_warm_prefix_identity;
+        Alcotest.test_case "warm sweep/explore = fresh" `Quick
+          test_warm_prefix_fanout_identity;
       ] );
   ]

@@ -132,12 +132,36 @@ let test_roofline_rows_bounded () =
       | None -> Alcotest.fail "missing column")
     rows
 
+(* A [Raw] node is written out byte for byte, and the emitted text
+   parses back to the tree the raw text itself parses to. *)
+let test_json_raw_verbatim () =
+  let inner =
+    Json.Obj
+      [
+        ("total_ms", Json.Float 24.15);
+        ("spots", Json.List [ Json.Int 1; Json.String "a\"b" ]);
+        ("none", Json.Null);
+      ]
+  in
+  let raw = Json.to_string inner in
+  let doc = Json.Obj [ ("v", Json.Int 1); ("result", Json.Raw raw) ] in
+  let text = Json.to_string doc in
+  Alcotest.(check string)
+    "emitted verbatim" ({|{"v":1,"result":|} ^ raw ^ "}") text;
+  match Json.of_string text with
+  | Ok parsed ->
+    Alcotest.(check bool)
+      "parses as the raw text parsed in place" true
+      (parsed = Json.Obj [ ("v", Json.Int 1); ("result", inner) ])
+  | Error e -> Alcotest.failf "reparse failed: %s" e
+
 let suite =
   [
     ( "report.json",
       [
         Alcotest.test_case "string escaping" `Quick test_json_escaping;
         Alcotest.test_case "scalar values" `Quick test_json_values;
+        Alcotest.test_case "raw node verbatim" `Quick test_json_raw_verbatim;
         Alcotest.test_case "projection shape" `Quick test_json_projection_shape;
         Alcotest.test_case "roofline rows bounded" `Quick
           test_roofline_rows_bounded;

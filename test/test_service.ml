@@ -364,6 +364,95 @@ let test_different_queries_different_results () =
   let v = view dispatch in
   Alcotest.(check int) "both computed" 2 v.Service.Metrics.cache_misses
 
+(* --- prepared-BET cache ---------------------------------------------- *)
+
+let counter name =
+  Option.value ~default:0.
+    (List.assoc_opt name (Core.Telemetry.Span.counters ()))
+
+let bw_body ?(engine = "tree") bw =
+  Printf.sprintf
+    {|{"kind":"analyze","workload":"cfd","machine":"bgq","engine":%S,"overrides":{"mem_bw_gbs":%g},"trace":{"id":"t-bw"}}|}
+    engine bw
+
+(* A second machine on a workload reuses the first one's prepared
+   handle: no BET is built, the reuse counter moves, and the cache
+   shows up in stats and in the Prometheus exposition. *)
+let test_prepared_reuse () =
+  let dispatch = Service.Dispatch.create () in
+  ignore (handle ~dispatch (bw_body 5.));
+  let builds = counter "prepared_builds" in
+  let reuses = counter "prepared_reuse_hits" in
+  let nodes = counter "bet_nodes_built" in
+  Alcotest.(check bool) "second machine ok" true
+    (is_ok (handle ~dispatch (bw_body 6.)));
+  Alcotest.(check (float 0.)) "one reuse" (reuses +. 1.)
+    (counter "prepared_reuse_hits");
+  Alcotest.(check (float 0.)) "no build" builds (counter "prepared_builds");
+  Alcotest.(check (float 0.)) "no BET nodes built" nodes
+    (counter "bet_nodes_built");
+  (match
+     Json.member "cache" (result_of (handle ~dispatch {|{"kind":"stats"}|}))
+   with
+  | Some cache ->
+    Alcotest.(check (option int)) "stats prepared_entries" (Some 1)
+      (Option.bind (Json.member "prepared_entries" cache) Json.to_int_opt)
+  | None -> Alcotest.fail "stats without cache object");
+  let prom =
+    match
+      Json.member "body"
+        (result_of (handle ~dispatch {|{"kind":"metrics_prom"}|}))
+    with
+    | Some (Json.String b) -> b
+    | _ -> Alcotest.fail "metrics_prom without body"
+  in
+  let has needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length prom
+      && (String.sub prom i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun m -> Alcotest.(check bool) m true (has m))
+    [
+      "skope_prepared_entries 1";
+      "skope_prepared_reuse_hits_total";
+      "skope_prepared_builds_total";
+    ]
+
+(* Worker domains share prepared handles read-only: four domains
+   pricing distinct machines of one workload through one dispatcher
+   get the bytes a sequential run gets. *)
+let test_prepared_shared_across_domains () =
+  let bodies =
+    List.concat_map
+      (fun engine ->
+        List.init 8 (fun i -> bw_body ~engine (float_of_int (i + 3))))
+      [ "tree"; "arena" ]
+    |> Array.of_list
+  in
+  let sequential =
+    let dispatch = Service.Dispatch.create () in
+    Array.map (handle ~dispatch) bodies
+  in
+  let dispatch = Service.Dispatch.create () in
+  let replies = Array.make (Array.length bodies) "" in
+  let workers =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            Array.iteri
+              (fun i body ->
+                if i mod 4 = d then replies.(i) <- handle ~dispatch body)
+              bodies))
+  in
+  List.iter Domain.join workers;
+  Array.iteri
+    (fun i expected ->
+      Alcotest.(check string) (Printf.sprintf "body %d" i) expected replies.(i))
+    sequential
+
 (* --- fingerprint --------------------------------------------------- *)
 
 let fp ?(scale = 1.0) ?(bw = 28.5) ?(engine = "tree") () =
@@ -908,6 +997,9 @@ let suite =
         Alcotest.test_case "distinct queries distinct" `Quick
           test_different_queries_different_results;
         Alcotest.test_case "fingerprint" `Quick test_fingerprint;
+        Alcotest.test_case "prepared handle reused" `Quick test_prepared_reuse;
+        Alcotest.test_case "prepared shared by 4 domains" `Quick
+          test_prepared_shared_across_domains;
       ] );
     ( "service.primitives",
       [
