@@ -845,7 +845,7 @@ let arena_section ?(record = fun _ _ -> ()) ?(scale = 0.25) () =
      pricing cost per grid point.  Hot-spot selection is excluded from
      all three rows alike — it is the same downstream stage whichever
      engine priced the point. *)
-  let tree_prep = P.Prepared.create ~workload:w ~scale () in
+  let tree_prep = P.Prepared.create ~engine:P.Tree ~workload:w ~scale () in
   let arena_prep = P.Prepared.create ~engine:P.Arena ~workload:w ~scale () in
   let built = P.Prepared.built tree_prep in
   let arena = Bet.Arena.of_build built in

@@ -136,33 +136,6 @@ let parse_axis_spec spec =
     Fmt.epr "invalid axis %S (expected KEY=V1,V2,...)@." spec;
     exit 2
 
-(** [--engine tree|arena] selects the BET pricing engine.  The two
-    are bit-for-bit identical on results; arena re-prices a flattened
-    BET incrementally, which is what grid exploration wants. *)
-let engine_arg =
-  let doc =
-    "BET pricing engine: `tree' walks the BET per point, `arena' \
-     re-prices a flattened arena incrementally (identical results)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum [ ("tree", Core.Pipeline.Tree); ("arena", Core.Pipeline.Arena) ])
-        Core.Pipeline.Tree
-    & info [ "engine" ] ~docv:"tree|arena" ~doc)
-
-(** [--engine] as an optional wire name, for [skope query] bodies
-    (absent: the server decides). *)
-let engine_opt_arg =
-  let doc =
-    "BET pricing engine the server should use: tree or arena (default: \
-     the server's default)."
-  in
-  Arg.(
-    value
-    & opt (some (enum [ ("tree", "tree"); ("arena", "arena") ])) None
-    & info [ "engine" ] ~docv:"tree|arena" ~doc)
-
 (** Repeatable [--axis KEY=V1,V2,...] for multi-axis grids. *)
 let axes_arg =
   let doc =

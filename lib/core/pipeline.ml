@@ -57,25 +57,23 @@ let profile ?(seed = 42L) ~libmix ~inputs program : Hints.t =
       in
       (Interp.run ~config ~inputs program).Interp.hints)
 
-(** The machine-independent prefix of the pipeline: everything that
-    does not depend on the target machine, so a design-space explorer
-    can run it once and re-price the same BET on every grid point. *)
-type prepared = {
-  pre_workload : Registry.t;
-  pre_scale : float;
-  pre_program : Ast.program;
-  pre_inputs : (string * Value.t) list;
-  pre_hints : Hints.t;
-  pre_built : Build.result;  (** the BET, priced by nothing yet *)
+(** The machine-independent prefix of the pipeline: workload make ->
+    validate -> lint -> (optional local profiling) -> BET
+    construction.  Nothing here depends on the target machine, so a
+    design-space explorer runs it once and re-prices the same BET on
+    every grid point.  [profile_hints] replaces the caller-supplied
+    [hints] with one local profiling run (the [run] path); [hints]
+    defaults to empty (the [analyze] and service path). *)
+type prefix = {
+  workload : Registry.t;
+  program : Ast.program;
+  inputs : (string * Value.t) list;
+  hints : Hints.t;
+  built : Build.result;  (** the BET, priced by nothing yet *)
 }
 
-(** Build the machine-independent artifact: workload make -> validate
-    -> lint -> (optional local profiling) -> BET construction.
-    [profile_hints] replaces the caller-supplied [hints] with one
-    local profiling run (the [run] path); [hints] defaults to empty
-    (the [analyze] path). *)
-let prepare ?(hints = Hints.empty) ?(profile_hints = false) ?(seed = 42L)
-    ~(workload : Registry.t) ~scale () : prepared =
+let prefix ?(hints = Hints.empty) ?(profile_hints = false) ?(seed = 42L)
+    ~(workload : Registry.t) ~scale () : prefix =
   let program, inputs =
     Span.with_ ~name:"workload_make"
       ~attrs:[ ("workload", workload.Registry.name) ]
@@ -92,66 +90,31 @@ let prepare ?(hints = Hints.empty) ?(profile_hints = false) ?(seed = 42L)
   let built =
     Build.build ~hints ~lib_work:(Libmix.work_fn libmix) ~inputs program
   in
-  {
-    pre_workload = workload;
-    pre_scale = scale;
-    pre_program = program;
-    pre_inputs = inputs;
-    pre_hints = hints;
-    pre_built = built;
-  }
+  { workload; program; inputs; hints; built }
 
-(** Price a prepared BET on one target machine: projection plus hot
-    spot selection, nothing machine-independent recomputed.  Safe to
-    call concurrently from several domains on the same [prepared]
-    (the BET is read-only here). *)
-let project_onto ?(criteria = Hotspot.default_criteria)
-    ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (p : prepared)
-    (machine : Machine.t) : analysis =
-  let projection = Perf.project ~opts ~cache machine p.pre_built in
-  let selection =
-    Span.with_ ~name:"hotspot" (fun () ->
-        Hotspot.select ~criteria ~assume_ranked:true
-          ~total_instructions:(Bst.total_instructions p.pre_built.Build.bst)
-          projection.Perf.blocks)
-  in
-  {
-    a_program = p.pre_program;
-    a_built = p.pre_built;
-    a_projection = projection;
-    a_selection = selection;
-  }
+(* Both engines rank before selection ([Perf.project] and
+   [Arena_price.aggregate]), so the re-sort is skipped. *)
+let select_ranked ~criteria (built : Build.result) blocks =
+  Span.with_ ~name:"hotspot" (fun () ->
+      Hotspot.select ~criteria ~assume_ranked:true
+        ~total_instructions:(Bst.total_instructions built.Build.bst)
+        blocks)
 
 (** BET pricing engines.  [Tree] is the recursive walk of
     {!Perf.project}; [Arena] flattens the BET once into a post-order
     arena ({!Skope_bet.Arena}) and re-prices it with flat forward
     loops and per-axis incrementality ({!Arena_price}).  The two are
-    bit-for-bit identical on blocks and totals. *)
+    bit-for-bit identical on blocks and totals; [Tree] is kept as the
+    reference the parity checks compare against. *)
 type engine = Tree | Arena
 
-let engine_to_string = function Tree -> "tree" | Arena -> "arena"
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "tree" -> Some Tree
-  | "arena" -> Some Arena
-  | _ -> None
-
-let engine_names = [ "tree"; "arena" ]
-
-(** The redesigned projection API: an abstract handle over the
-    machine-independent artifact plus the pricing engine chosen for
-    it.  {!prepare}/{!project_onto} remain as thin wrappers over the
-    tree engine for existing callers and are deprecated in favor of
-    this module. *)
+(** The projection API: an abstract handle over the machine-independent
+    prefix plus the pricing engine chosen for it. *)
 module Prepared = struct
-  type handle = {
-    pre : prepared;
-    h_engine : engine;
-    h_arena : Arena.t option;  (** [Some] iff [h_engine = Arena] *)
+  type t = {
+    pre : prefix;
+    arena : Arena.t option;  (** [Some] iff the engine is [Arena] *)
   }
-
-  type t = handle
 
   (** Result of pricing one machine point, engine-independent.
       [o_state] (arena engine only) carries the pricing state that
@@ -167,36 +130,22 @@ module Prepared = struct
 
   (* The arena is built eagerly: OCaml's [Lazy.force] is not safe to
      race from the explorer's domain pool. *)
-  let of_prepared ?(engine = Tree) (pre : prepared) : t =
+  let create ?(engine = Arena) ~workload ~scale () : t =
+    let pre = prefix ~workload ~scale () in
     {
       pre;
-      h_engine = engine;
-      h_arena =
+      arena =
         (match engine with
         | Tree -> None
         | Arena ->
           Some
             (Span.with_ ~name:"arena_build" (fun () ->
-                 Arena.of_build pre.pre_built)));
+                 Arena.of_build pre.built)));
     }
 
-  let create ?hints ?profile_hints ?seed ?engine ~workload ~scale () : t =
-    of_prepared ?engine (prepare ?hints ?profile_hints ?seed ~workload ~scale ())
-
-  let prepared t = t.pre
-  let built t = t.pre.pre_built
-  let workload t = t.pre.pre_workload
-  let scale t = t.pre.pre_scale
-  let engine t = t.h_engine
+  let built t = t.pre.built
+  let workload t = t.pre.workload
   let strip_state o = { o with o_state = None }
-
-  (* Both engines rank before we get here ([Perf.project] and
-     [Arena_price.aggregate]), so the selection re-sort is skipped. *)
-  let select ~criteria t blocks =
-    Span.with_ ~name:"hotspot" (fun () ->
-        Hotspot.select ~criteria ~assume_ranked:true
-          ~total_instructions:(Bst.total_instructions t.pre.pre_built.Build.bst)
-          blocks)
 
   let of_priced ~criteria t (p : Arena_price.priced) : outcome =
     let blocks = Arena_price.blocks p in
@@ -204,30 +153,31 @@ module Prepared = struct
       o_machine = Arena_price.machine p;
       o_blocks = blocks;
       o_total_time = Arena_price.total_time p;
-      o_selection = select ~criteria t blocks;
+      o_selection = select_ranked ~criteria t.pre.built blocks;
       o_state = Some p;
     }
 
   let project ?(criteria = Hotspot.default_criteria)
       ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (t : t)
       (machine : Machine.t) : outcome =
-    match t.h_arena with
+    match t.arena with
     | Some arena ->
       of_priced ~criteria t (Arena_price.price ~opts ~cache arena machine)
     | None ->
-      let projection = Perf.project ~opts ~cache machine t.pre.pre_built in
+      let projection = Perf.project ~opts ~cache machine t.pre.built in
       {
         o_machine = machine;
         o_blocks = projection.Perf.blocks;
         o_total_time = projection.Perf.total_time;
-        o_selection = select ~criteria t projection.Perf.blocks;
+        o_selection =
+          select_ranked ~criteria t.pre.built projection.Perf.blocks;
         o_state = None;
       }
 
   let project_delta ?(criteria = Hotspot.default_criteria)
       ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) ~prev (t : t)
       (machine : Machine.t) : outcome =
-    match (t.h_arena, prev.o_state) with
+    match (t.arena, prev.o_state) with
     | Some arena, Some p ->
       of_priced ~criteria t
         (Arena_price.price_delta ~opts ~cache ~prev:p arena machine)
@@ -236,20 +186,27 @@ module Prepared = struct
   let project_batch ?(criteria = Hotspot.default_criteria)
       ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (t : t)
       (machines : Machine.t array) : outcome array =
-    match t.h_arena with
+    match t.arena with
     | Some arena ->
       Array.map (of_priced ~criteria t)
         (Arena_price.price_batch ~opts ~cache arena machines)
     | None -> Array.map (project ~criteria ~opts ~cache t) machines
 end
 
-(** Analytic projection only — no execution on [machine] at all. *)
+(** Analytic projection only — no execution on [machine] at all.  The
+    tree walk, so the result carries per-node times for hot paths. *)
 let analyze ?(criteria = Hotspot.default_criteria)
     ?(opts = Roofline.default_opts) ?(cache = Perf.Constant)
     ?(hints = Hints.empty) ~machine ~(workload : Registry.t) ~scale () :
     analysis =
-  let prepared = prepare ~hints ~workload ~scale () in
-  project_onto ~criteria ~opts ~cache prepared machine
+  let p = prefix ~hints ~workload ~scale () in
+  let projection = Perf.project ~opts ~cache machine p.built in
+  {
+    a_program = p.program;
+    a_built = p.built;
+    a_projection = projection;
+    a_selection = select_ranked ~criteria p.built projection.Perf.blocks;
+  }
 
 (** Static performance audit of a bundled workload: symbolic scaling /
     working-set / communication diagnostics at [scale], with the
@@ -278,12 +235,12 @@ let run ?(criteria = Hotspot.default_criteria) ?(opts = Roofline.default_opts)
   let scale =
     match scale with Some s -> s | None -> workload.Registry.default_scale
   in
-  let p = prepare ~profile_hints:true ~seed ~workload ~scale () in
-  let built = p.pre_built in
+  let p = prefix ~profile_hints:true ~seed ~workload ~scale () in
+  let built = p.built in
   let projection = Perf.project ~opts machine built in
   let libmix = workload.Registry.libmix in
   let config = Interp.default_config ~machine ~libmix ~seed () in
-  let measured = Interp.run ~config ~inputs:p.pre_inputs p.pre_program in
+  let measured = Interp.run ~config ~inputs:p.inputs p.program in
   let total_instructions = Bst.total_instructions built.Build.bst in
   let model_sel, measured_sel =
     Span.with_ ~name:"hotspot" (fun () ->
@@ -295,9 +252,9 @@ let run ?(criteria = Hotspot.default_criteria) ?(opts = Roofline.default_opts)
     workload;
     machine;
     scale;
-    program = p.pre_program;
-    inputs = p.pre_inputs;
-    hints = p.pre_hints;
+    program = p.program;
+    inputs = p.inputs;
+    hints = p.hints;
     built;
     projection;
     measured;

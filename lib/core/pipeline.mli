@@ -46,67 +46,19 @@ val profile :
   Ast.program ->
   Hints.t
 
-(** The machine-independent prefix of the pipeline (workload make,
-    validation, lint, optional profiling, BET construction): build it
-    once and price it on any number of target machines. *)
-type prepared = {
-  pre_workload : Registry.t;
-  pre_scale : float;
-  pre_program : Ast.program;
-  pre_inputs : (string * Value.t) list;
-  pre_hints : Hints.t;
-  pre_built : Build.result;  (** the BET *)
-}
-
-(** Build the machine-independent artifact.  [profile_hints] runs one
-    local profiling pass and uses its hints (the {!run} path);
-    otherwise [hints] (default empty) feeds BET construction directly
-    (the {!analyze} path).
-
-    @deprecated New code should use {!Prepared.create}, which also
-    fixes the pricing engine; [prepare] remains as a wrapper
-    (equivalent to the tree engine) for existing callers. *)
-val prepare :
-  ?hints:Hints.t ->
-  ?profile_hints:bool ->
-  ?seed:int64 ->
-  workload:Registry.t ->
-  scale:float ->
-  unit ->
-  prepared
-
-(** Price a prepared BET on one target machine.  Read-only on
-    [prepared]: concurrent calls from several domains are safe, which
-    is what makes grid exploration embarrassingly parallel.
-
-    @deprecated Use {!Prepared.project}: it prices through the engine
-    chosen at {!Prepared.create} time and supports batch and delta
-    re-pricing.  This wrapper remains for source compatibility and
-    always uses the tree engine. *)
-val project_onto :
-  ?criteria:Hotspot.criteria ->
-  ?opts:Roofline.opts ->
-  ?cache:Perf.cache_model ->
-  prepared ->
-  Machine.t ->
-  analysis
-
 (** BET pricing engines.  [Tree] is the recursive walk of
     {!Perf.project}; [Arena] flattens the BET once into a post-order
     arena ({!Skope_bet.Arena}) and re-prices it with flat forward
     loops and per-axis incrementality ({!Arena_price}).  Both produce
-    bit-for-bit identical blocks and totals. *)
+    bit-for-bit identical blocks and totals.  Every service request
+    and [skope explore] prices with [Arena]; [Tree] is the reference
+    the parity tests and the fuzz gate compare against. *)
 type engine = Tree | Arena
 
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
-
-(** Wire names, in advertisement order: [["tree"; "arena"]]. *)
-val engine_names : string list
-
 (** The projection API: an abstract handle over the
-    machine-independent pipeline prefix plus a pricing engine.
-    Replaces the exposed {!prepare}/{!project_onto} pair. *)
+    machine-independent pipeline prefix (workload make, validation,
+    lint, BET construction) plus a pricing engine.  Build it once and
+    price it on any number of target machines. *)
 module Prepared : sig
   type t
 
@@ -122,26 +74,13 @@ module Prepared : sig
   }
 
   (** Build the machine-independent artifact once and fix the pricing
-      engine (default [Tree]).  For [Arena] the BET is flattened
-      eagerly, so the handle is safe to share across domains. *)
+      engine (default [Arena]).  The arena is flattened eagerly, so
+      the handle is safe to share across domains. *)
   val create :
-    ?hints:Hints.t ->
-    ?profile_hints:bool ->
-    ?seed:int64 ->
-    ?engine:engine ->
-    workload:Registry.t ->
-    scale:float ->
-    unit ->
-    t
+    ?engine:engine -> workload:Registry.t -> scale:float -> unit -> t
 
-  (** Upgrade an existing {!type-prepared} artifact to a handle. *)
-  val of_prepared : ?engine:engine -> prepared -> t
-
-  val prepared : t -> prepared
   val built : t -> Build.result
   val workload : t -> Registry.t
-  val scale : t -> float
-  val engine : t -> engine
 
   (** Drop the delta-pricing state (callers retaining many outcomes
       should store them stripped). *)
@@ -179,8 +118,8 @@ module Prepared : sig
     outcome array
 end
 
-(** Analytic projection only — nothing executes on [machine].
-    Equivalent to {!prepare} followed by {!project_onto}. *)
+(** Analytic projection only — nothing executes on [machine].  Prices
+    with the tree walk, whose per-node times the result carries. *)
 val analyze :
   ?criteria:Hotspot.criteria ->
   ?opts:Roofline.opts ->

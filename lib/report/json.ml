@@ -14,22 +14,6 @@ type t =
   | Obj of (string * t) list
   | Raw of string
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
@@ -45,7 +29,7 @@ let rec write buf = function
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    Skope_telemetry.Json_string.add_escaped buf s;
     Buffer.add_char buf '"'
   | List l ->
     Buffer.add_char buf '[';
@@ -61,7 +45,7 @@ let rec write buf = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        Skope_telemetry.Json_string.add_escaped buf k;
         Buffer.add_string buf "\":";
         write buf v)
       fields;

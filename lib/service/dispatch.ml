@@ -20,8 +20,8 @@ type cached = { bytes : string; total_ms : float }
 
 (* Prepared BETs kept across requests.  A registry workload's handle
    is 10-58 KB at its default scale, so 64 of them bound the cache
-   at a few MB while covering every (workload, scale, engine) a
-   design-space session keeps returning to. *)
+   at a few MB while covering every (workload, scale) a design-space
+   session keeps returning to. *)
 let prepared_capacity = 64
 
 type t = {
@@ -30,6 +30,7 @@ type t = {
   prepared : P.Prepared.t Lru.t;
   metrics : Metrics.t;
   recorder : Recorder.t;
+  sinks : Span.sink list;
 }
 
 let create ?(config = default_config) () =
@@ -37,14 +38,14 @@ let create ?(config = default_config) () =
   let prepared = Lru.create ~capacity:prepared_capacity in
   let metrics = Metrics.create () in
   let recorder = Recorder.create () in
-  (* Fold pipeline spans into this dispatcher's per-phase histograms.
-     The sink is process-global, so spans opened by CLI-embedded
-     pipelines also land here — harmless, and it keeps the service
-     path allocation-free when no dispatcher exists. *)
-  Span.add_sink (Metrics.sink metrics);
-  (* The flight recorder rides the same sink bus: spans carrying a
-     ["trace_id"] context attribute land in that request's record. *)
-  Span.add_sink (Recorder.sink recorder);
+  (* Fold pipeline spans into this dispatcher's per-phase histograms,
+     and feed the flight recorder: spans carrying a ["trace_id"]
+     context attribute land in that request's record.  The sink bus is
+     process-global, so spans opened by CLI-embedded pipelines also
+     land here; [close] takes both sinks off it again, since every
+     installed sink taxes every span in the process. *)
+  let sinks = [ Metrics.sink metrics; Recorder.sink recorder ] in
+  List.iter Span.add_sink sinks;
   Metrics.register_gauge metrics ~name:"skope_lru_entries"
     ~help:"Projection cache occupancy." (fun () ->
       float_of_int (Lru.length cache));
@@ -54,7 +55,9 @@ let create ?(config = default_config) () =
   Metrics.register_gauge metrics ~name:"skope_prepared_entries"
     ~help:"Prepared-BET cache occupancy." (fun () ->
       float_of_int (Lru.length prepared));
-  { config; cache; prepared; metrics; recorder }
+  { config; cache; prepared; metrics; recorder; sinks }
+
+let close t = List.iter Span.remove_sink t.sinks
 
 exception Reject of Protocol.error_code * string
 
@@ -74,11 +77,8 @@ let json_of_spot rank total (b : Blockstat.t) =
     ]
 
 (* Shared outcome renderer: analyze, sweep points and explore points
-   all serialize through here — whichever engine priced them — so a
-   cache entry written by any of them is byte-identical for the
-   others.  The engine is deliberately NOT part of a point's JSON
-   (the two engines agree bit-for-bit, and differential gates diff
-   these bytes); responses echo it at the top level instead. *)
+   all serialize through here, so a cache entry written by any of them
+   is byte-identical for the others. *)
 let render_outcome ~(workload : Registry.t) ~(machine : Machine.t) ~scale ~top
     ~bet_nodes (o : P.Prepared.outcome) =
   let total = o.P.Prepared.o_total_time in
@@ -130,17 +130,16 @@ type projection = {
   scale : float;
   criteria : Hotspot.criteria;
   top : int;
-  engine : P.engine;
 }
 
 (* The result-cache key.  The fingerprint covers every machine
    parameter (but the response embeds the machine's catalog name), so
    an [analyze] with overrides and a sweep variant with the same
-   parameters share a slot. *)
+   parameters share a slot.  Every result is priced by the arena, so
+   the key's engine part is one constant. *)
 let result_key (p : projection) machine =
   Fingerprint.of_query ~workload:p.workload.Registry.name ~machine
-    ~scale:p.scale ~criteria:p.criteria ~top:p.top
-    ~engine:(P.engine_to_string p.engine)
+    ~scale:p.scale ~criteria:p.criteria ~top:p.top ~engine:"arena"
 
 let resolve_projection (q : Protocol.query) =
   let workload = lookup_workload q.Protocol.workload in
@@ -160,7 +159,6 @@ let resolve_projection (q : Protocol.query) =
         code_leanness = q.Protocol.leanness;
       };
     top = q.Protocol.top;
-    engine = Option.value ~default:P.Tree q.Protocol.engine;
   }
 
 let query_fingerprint q =
@@ -170,9 +168,9 @@ let query_fingerprint q =
 
 (* --- the two caches ------------------------------------------------ *)
 
-(* The prepared prefix (workload make, validate, lint, BET build)
-   depends only on what [Prepared.create] reads: the workload, the
-   exact scale and the engine (service requests carry no hints).  A
+(* The prepared prefix (workload make, validate, lint, BET build,
+   arena flattening) depends only on what [Prepared.create] reads: the
+   workload and the exact scale (service requests carry no hints).  A
    failed build raises out of here before [Lru.add], so a workload
    that does not validate or lint is re-checked — and rejected — on
    every request.  Handles are shared read-only across worker domains
@@ -180,9 +178,8 @@ let query_fingerprint q =
    the later [add] wins harmlessly. *)
 let prepared_handle t (p : projection) =
   let key =
-    Printf.sprintf "%s;%Lx;%s" p.workload.Registry.name
+    Printf.sprintf "%s;%Lx" p.workload.Registry.name
       (Int64.bits_of_float p.scale)
-      (P.engine_to_string p.engine)
   in
   match Lru.find t.prepared key with
   | Some h ->
@@ -191,8 +188,7 @@ let prepared_handle t (p : projection) =
   | None ->
     let h =
       Span.with_ ~name:"prepare" (fun () ->
-          P.Prepared.create ~engine:p.engine ~workload:p.workload
-            ~scale:p.scale ())
+          P.Prepared.create ~workload:p.workload ~scale:p.scale ())
     in
     Span.count "prepared_builds" 1.;
     Lru.add t.prepared key h;
@@ -233,9 +229,9 @@ let run_analyze t (p : projection) ~key =
 
 (* One fan-out point (sweep variant or explore grid point).  Misses
    re-price the request's one prepared handle, forced on the first
-   miss — so a fully cached fan-out touches no BET at all — and under
-   the arena engine consecutive misses delta-chain through [prev], so
-   a single-axis step re-prices only dependent nodes. *)
+   miss — so a fully cached fan-out touches no BET at all — and
+   consecutive misses delta-chain through [prev], so a single-axis
+   step re-prices only dependent nodes. *)
 let cached_point t (p : projection) ~prepared ~prev machine =
   cached t (result_key p machine) (fun () ->
       let prep = Lazy.force prepared in
@@ -269,7 +265,6 @@ let run_sweep t (p : projection) axis ~check_deadline =
     [
       ("workload", Json.String p.workload.Registry.name);
       ("machine", Json.String base.Machine.name);
-      ("engine", Json.String (P.engine_to_string p.engine));
       ("axis", Json.String (Designspace.axis_name axis));
       ("points", Json.List points);
     ]
@@ -336,7 +331,6 @@ let run_explore t (p : projection) (spec : Protocol.explore_spec)
     ([
        ("workload", Json.String p.workload.Registry.name);
        ("machine", Json.String base.Machine.name);
-       ("engine", Json.String (P.engine_to_string p.engine));
        ("axes", Json.List axes);
        ("grid", Json.Int (Designspace.grid_size spec.Protocol.e_axes));
      ]
@@ -356,7 +350,6 @@ let run_capabilities () =
       ("protocol", Json.Int Protocol.protocol_version);
       ("kinds", strings Protocol.request_kinds);
       ("axes", strings Designspace.axis_keys);
-      ("bet_engines", strings P.engine_names);
       ("max_grid_points", Json.Int Protocol.max_grid_points);
       ("version", Json.String Core.Version.version);
     ]

@@ -17,22 +17,33 @@ val default_config : config
     frontier ranks by. *)
 type cached = { bytes : string; total_ms : float }
 
-(** Slots in the prepared-BET cache (one per workload, exact scale and
-    engine).  A constant, not a [config] field. *)
+(** Slots in the prepared-BET cache (one per workload and exact
+    scale).  A constant, not a [config] field. *)
 val prepared_capacity : int
 
 type t = {
   config : config;
   cache : cached Lru.t;  (** fingerprint -> analyze result *)
   prepared : Core.Pipeline.Prepared.t Lru.t;
-      (** workload/scale/engine -> machine-independent prefix, reused
-          by every miss; failed builds are never stored *)
+      (** workload/scale -> machine-independent prefix, reused by
+          every miss; failed builds are never stored *)
   metrics : Metrics.t;
   recorder : Skope_telemetry.Recorder.t;
       (** flight recorder behind [{"kind":"recent"}] / [{"kind":"trace"}] *)
+  sinks : Skope_telemetry.Span.sink list;
+      (** the span sinks feeding [metrics] and [recorder] *)
 }
 
+(** A dispatcher, with its two span sinks installed on the
+    process-global sink bus. *)
 val create : ?config:config -> unit -> t
+
+(** Take the dispatcher's span sinks off the bus.  Its metrics and
+    flight recorder stop seeing spans; requests it still handles are
+    answered as before.  Every span in the process pays for every
+    installed sink, so a process that creates many dispatchers closes
+    the ones it is done with. *)
+val close : t -> unit
 
 (** Handle one request body, returning the response body (always a
     single-line JSON string, never raising).  [received_at] is when

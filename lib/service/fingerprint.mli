@@ -11,9 +11,9 @@ open Skope_hw
 open Skope_analysis
 
 (** Canonical, human-readable key material (stable field order).
-    [engine] is the pricing engine's wire name ("tree"/"arena"): the
-    two engines agree bit-for-bit, but keeping their cache slots
-    disjoint keeps a differential check honest. *)
+    [engine] names the pricing engine ("tree"/"arena").  The service
+    prices everything with the arena and passes ["arena"] for every
+    key; the field keeps the v2 key form stable. *)
 val canonical :
   workload:string ->
   machine:Machine.t ->

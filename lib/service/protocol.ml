@@ -9,8 +9,6 @@ type query = {
   coverage : float;
   leanness : float;
   top : int;
-  engine : Core.Pipeline.engine option;
-      (** BET pricing engine; [None] means the server default (tree) *)
 }
 
 (** Lint either a bundled workload (by name) or an inline DSL source
@@ -285,19 +283,7 @@ let parse_query json =
     if top < 1 || top > 1000 then invalid "field \"top\" must be in [1, 1000]"
     else Ok ()
   in
-  let* engine =
-    match Json.member "engine" json with
-    | None | Some Json.Null -> Ok None
-    | Some (Json.String s) -> (
-      match Core.Pipeline.engine_of_string s with
-      | Some e -> Ok (Some e)
-      | None ->
-        invalid
-          (Printf.sprintf "unknown engine %S (expected one of: %s)" s
-             (String.concat ", " Core.Pipeline.engine_names)))
-    | Some _ -> invalid "field \"engine\" must be a string"
-  in
-  Ok { workload; machine; overrides; scale; coverage; leanness; top; engine }
+  Ok { workload; machine; overrides; scale; coverage; leanness; top }
 
 (* One axis from a {"axis":KEY,"values":[...]} object; the axis keys
    themselves live in Designspace so every layer agrees. *)

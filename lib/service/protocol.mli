@@ -65,6 +65,9 @@
 open Skope_hw
 module Json = Skope_report.Json
 
+(** A projection query (analyze, sweep, explore).  Every query is
+    priced the same way; an ["engine"] field sent by older clients is
+    ignored like any other unknown field. *)
 type query = {
   workload : string;
   machine : string;
@@ -73,11 +76,6 @@ type query = {
   coverage : float;
   leanness : float;
   top : int;  (** hot spots to return *)
-  engine : Core.Pipeline.engine option;
-      (** optional ["engine"] field ("tree"/"arena"); [None] means the
-          server default (tree).  Unknown names are an
-          [Invalid_request].  Advertised via [capabilities] as
-          ["bet_engines"]. *)
 }
 
 type lint_query = {

@@ -327,6 +327,7 @@ let run ?stop ?on_ready ?handle_signals config =
         (* Scripts wait for this line before issuing queries. *)
         Format.pp_print_flush Format.std_formatter ()
   in
+  Fun.protect ~finally:(fun () -> Dispatch.close dispatch) @@ fun () ->
   serve ?stop ~on_ready ?handle_signals ?faults:config.faults
     ~recorder:dispatch.Dispatch.recorder
     ~on_queue:(fun depth ->

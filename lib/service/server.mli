@@ -78,7 +78,7 @@ val serve :
     second) becomes [true] — the embedding hook for in-process tests.
     [on_ready] (default: prints a "listening" line) receives the bound
     port — useful with [port = 0].  [serve] specialised to a fresh
-    {!Dispatch.t}. *)
+    {!Dispatch.t}, which is closed when serving ends. *)
 val run :
   ?stop:bool Atomic.t ->
   ?on_ready:(int -> unit) ->

@@ -15,8 +15,6 @@ type query_opts = {
   coverage : float;
   leanness : float;
   overrides : (string * float) list;
-  engine : string option;
-      (** BET pricing engine ("tree"/"arena"); [None]: server default *)
 }
 
 let default_query_opts =
@@ -26,7 +24,6 @@ let default_query_opts =
     coverage = 0.90;
     leanness = 0.10;
     overrides = [];
-    engine = None;
   }
 
 type request =
@@ -148,9 +145,6 @@ let query_fields ~workload ~machine (o : query_opts) =
       ("coverage", Json.Float o.coverage);
       ("leanness", Json.Float o.leanness);
     ]
-  @ (match o.engine with
-    | Some e -> [ ("engine", Json.String e) ]
-    | None -> [])
   @
   if o.overrides = [] then []
   else

@@ -17,26 +17,8 @@ let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 type value = Str of string | F of float | I of int | B of bool
 
-(* Same minimal RFC 8259 escaping as Chrome: this library sits below
-   the report layer, so it cannot borrow its printer. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let value_lit = function
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Json_string.escape s)
   | F f ->
     if Float.is_finite f then Printf.sprintf "%.6g" f
     else Printf.sprintf "\"%s\"" (Float.to_string f)
@@ -134,11 +116,11 @@ let emit ?(level = Info) ?trace_id event attrs =
           Buffer.add_string buf
             (Printf.sprintf ",\"level\":\"%s\"" (level_label level));
           Buffer.add_string buf
-            (Printf.sprintf ",\"event\":\"%s\"" (escape event));
+            (Printf.sprintf ",\"event\":\"%s\"" (Json_string.escape event));
           (match trace_id with
           | Some id ->
             Buffer.add_string buf
-              (Printf.sprintf ",\"trace_id\":\"%s\"" (escape id))
+              (Printf.sprintf ",\"trace_id\":\"%s\"" (Json_string.escape id))
           | None -> ());
           if held > 0 then
             Buffer.add_string buf (Printf.sprintf ",\"suppressed\":%d" held);
@@ -148,7 +130,8 @@ let emit ?(level = Info) ?trace_id event attrs =
               (fun i (k, v) ->
                 if i > 0 then Buffer.add_char buf ',';
                 Buffer.add_string buf
-                  (Printf.sprintf "\"%s\":%s" (escape k) (value_lit v)))
+                  (Printf.sprintf "\"%s\":%s" (Json_string.escape k)
+                     (value_lit v)))
               attrs;
             Buffer.add_char buf '}'
           end;

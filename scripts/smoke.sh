@@ -115,16 +115,6 @@ echo "$NDJSON" | grep -q '"tag":"bw=7.0,freq=0.8"' \
     || fail "explore ndjson missing grid point"
 echo "$NDJSON" | grep -q '"pareto"' || fail "explore ndjson missing summary"
 
-echo "smoke: arena engine matches tree byte for byte"
-# The summary line carries wall-clock (elapsed_ms), so compare only
-# the per-point lines; -j 1 pins the emission order.
-TREE_PTS=$("$SKOPE" explore -w sord -m bgq --axis bw=7,14 --axis freq=0.8,1.6 \
-    --engine tree -j 1 --format ndjson | grep '"tag"') || fail "tree explore"
-ARENA_PTS=$("$SKOPE" explore -w sord -m bgq --axis bw=7,14 --axis freq=0.8,1.6 \
-    --engine arena -j 1 --format ndjson | grep '"tag"') || fail "arena explore"
-[ "$TREE_PTS" = "$ARENA_PTS" ] \
-    || fail "arena ndjson points differ from tree"
-
 # --- server lifecycle -------------------------------------------------
 
 # start_server LOGFILE [serve flags...] -> SERVER_PID, SERVER_PORT.
@@ -205,9 +195,11 @@ echo "smoke: capabilities + protocol version stamp"
 CAPS=$(q --kind capabilities) || fail "capabilities request"
 echo "$CAPS" | grep -q '"protocol":1' || fail "capabilities missing protocol"
 echo "$CAPS" | grep -q '"explore"'    || fail "capabilities missing explore kind"
-echo "$CAPS" | grep -q '"bet_engines"' || fail "capabilities missing bet_engines"
-echo "$CAPS" | grep -q '"arena"'      || fail "capabilities missing arena engine"
 q --kind version | grep -q '"v":1' || fail "response not version-stamped"
+
+echo "smoke: an old client's engine field is ignored"
+q --body '{"kind":"analyze","workload":"sord","machine":"bgq","engine":"tree"}' \
+    >/dev/null || fail "analyze with an engine field"
 
 echo "smoke: lint request kind"
 q --kind lint -w sord >/dev/null || fail "lint request"

@@ -1,7 +1,8 @@
 (* Tests for the arena BET engine: structural invariants of the
    flattened arena, bit-for-bit equivalence with the tree engine
    across the whole bundled fleet, batch and delta re-pricing, the
-   v2 cache fingerprint, and wire-level engine selection. *)
+   v2 cache fingerprint, and the served projections against the
+   tree walk. *)
 
 module Json = Core.Report.Json
 module Service = Skope_service
@@ -19,8 +20,8 @@ module Hotspot = Core.Analysis.Hotspot
 let bgq () = Option.get (Machines.find "bgq")
 let sord () = Option.get (Registry.find "sord")
 
-let handle ?(dispatch = Service.Dispatch.create ()) body =
-  Service.Dispatch.handle dispatch body
+let with_dispatch = Support.with_dispatch
+let handle = Support.handle
 
 let result_of response =
   match Json.of_string response with
@@ -29,21 +30,6 @@ let result_of response =
     match (Json.member "ok" r, Json.member "result" r) with
     | Some (Json.Bool true), Some result -> result
     | _ -> Alcotest.failf "expected ok response: %s" response)
-
-let error_of response =
-  match Json.of_string response with
-  | Error e -> Alcotest.failf "response is not JSON (%s): %s" e response
-  | Ok r -> (
-    match Json.member "ok" r with
-    | Some (Json.Bool true) -> Alcotest.failf "expected error: %s" response
-    | _ ->
-      let err = Option.get (Json.member "error" r) in
-      let str key =
-        match Json.member key err with
-        | Some (Json.String s) -> s
-        | _ -> Alcotest.failf "error without %s: %s" key response
-      in
-      (str "code", str "message"))
 
 (* Engine-equivalence checks compare the *whole* outcome structurally:
    every Blockstat field (times, work, bound, note) and the full
@@ -113,7 +99,7 @@ let test_fleet_identical () =
   List.iter
     (fun (w : Registry.t) ->
       let scale = w.Registry.default_scale in
-      let tree = P.Prepared.create ~workload:w ~scale () in
+      let tree = P.Prepared.create ~engine:P.Tree ~workload:w ~scale () in
       let arena = P.Prepared.create ~engine:P.Arena ~workload:w ~scale () in
       List.iter
         (fun (m : Machine.t) ->
@@ -165,7 +151,7 @@ let test_batch_matches_mapped () =
 let test_delta_matches_full () =
   let w = sord () in
   let scale = w.Registry.default_scale in
-  let tree = P.Prepared.create ~workload:w ~scale () in
+  let tree = P.Prepared.create ~engine:P.Tree ~workload:w ~scale () in
   let arena = P.Prepared.create ~engine:P.Arena ~workload:w ~scale () in
   let rng = Random.State.make [| 42 |] in
   let step (m : Machine.t) =
@@ -210,7 +196,7 @@ let test_grid_pool_equivalence () =
   in
   let pts = Explore.grid_points (bgq ()) axes in
   Alcotest.(check int) "1024 points" 1024 (List.length pts);
-  let tree = P.Prepared.create ~workload:w ~scale () in
+  let tree = P.Prepared.create ~engine:P.Tree ~workload:w ~scale () in
   let arena = P.Prepared.create ~engine:P.Arena ~workload:w ~scale () in
   let rt = Explore.evaluate ~jobs:1 tree pts in
   let ra = Explore.evaluate ~jobs:4 arena pts in
@@ -309,137 +295,124 @@ let test_fingerprint_covers_schema () =
     (List.length variants)
     (List.length (List.sort_uniq compare digests))
 
-(* --- wire-level engine selection ----------------------------------- *)
+(* --- the served projection -------------------------------------- *)
 
-let explore_body engine =
-  match engine with
-  | None ->
-    {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}]}|}
-  | Some e ->
-    Printf.sprintf
-      {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}],"engine":%S}|}
-      e
+let float_member key j =
+  match Json.member key j with
+  | Some (Json.Float f) -> Some f
+  | Some (Json.Int i) -> Some (float_of_int i)
+  | _ -> None
 
-let points_of result =
-  match Json.member "points" result with
-  | Some (Json.List ps) -> ps
-  | _ -> Alcotest.failf "no points in %s" (Json.to_string result)
+(* The service prices with the arena; the tree walk of
+   [Pipeline.analyze] is the oracle.  Every workload on two machines:
+   the served total and the ranked spots (block and time) match. *)
+let test_served_matches_tree () =
+  with_dispatch @@ fun dispatch ->
+  List.iter
+    (fun (w : Registry.t) ->
+      List.iter
+        (fun machine ->
+          let label = w.Registry.name ^ "/" ^ machine in
+          let result =
+            result_of
+              (handle ~dispatch
+                 (Printf.sprintf
+                    {|{"kind":"analyze","workload":%S,"machine":%S}|}
+                    w.Registry.name machine))
+          in
+          let a =
+            P.analyze ~machine:(Option.get (Machines.find machine)) ~workload:w
+              ~scale:w.Registry.default_scale ()
+          in
+          let projection = a.P.a_projection in
+          Alcotest.(check (option (float 0.)))
+            (label ^ ": total_ms")
+            (Some (projection.Perf.total_time *. 1e3))
+            (float_member "total_ms" result);
+          let served =
+            match Json.member "spots" result with
+            | Some (Json.List l) ->
+              List.map
+                (fun spot ->
+                  ( (match Json.member "block" spot with
+                    | Some (Json.String b) -> b
+                    | _ -> Alcotest.failf "%s: spot without block" label),
+                    float_member "ms" spot ))
+                l
+            | _ -> Alcotest.failf "%s: no spots" label
+          in
+          let expected =
+            List.filteri (fun i _ -> i < 10) projection.Perf.blocks
+            |> List.map (fun (b : Core.Analysis.Blockstat.t) ->
+                   (b.name, Some (b.time *. 1e3)))
+          in
+          Alcotest.(check (list (pair string (option (float 0.)))))
+            (label ^ ": ranked spots") expected served)
+        [ "bgq"; "xeon" ])
+    Registry.all
 
-let test_engine_parse () =
-  (match Service.Protocol.parse_request (explore_body (Some "arena")) with
-  | Ok (Service.Protocol.Explore (q, _), _) ->
-    Alcotest.(check bool) "engine parsed" true
-      (q.Service.Protocol.engine = Some P.Arena)
-  | _ -> Alcotest.fail "explore with engine did not parse");
-  (match Service.Protocol.parse_request (explore_body None) with
-  | Ok (Service.Protocol.Explore (q, _), _) ->
-    Alcotest.(check bool) "engine defaults to None" true
-      (q.Service.Protocol.engine = None)
-  | _ -> Alcotest.fail "explore without engine did not parse");
-  (* typed builder round trip *)
-  let module A = Service.Service_api in
-  match
-    Service.Protocol.parse_request
-      (A.to_body
-         (A.explore
-            ~opts:{ A.default_query_opts with A.engine = Some "arena" }
-            ~workload:"sord" ~machine:"bgq"
-            ~axes:[ ("bw", [ 7.; 14. ]) ]
-            ()))
-  with
-  | Ok (Service.Protocol.Explore (q, _), _) ->
-    Alcotest.(check bool) "builder carries engine" true
-      (q.Service.Protocol.engine = Some P.Arena)
-  | _ -> Alcotest.fail "service_api engine did not round trip"
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
-let test_engine_rejected () =
-  let code, msg = error_of (handle (explore_body (Some "warp"))) in
-  Alcotest.(check string) "unknown engine" "invalid_request" code;
-  Alcotest.(check bool) ("names the engine: " ^ msg) true
-    (contains msg "warp" && contains msg "arena")
-
-let test_engine_echoed () =
-  let result = result_of (handle (explore_body (Some "arena"))) in
-  Alcotest.(check bool) "explore echoes engine" true
-    (Json.member "engine" result = Some (Json.String "arena"));
-  let default = result_of (handle (explore_body None)) in
-  Alcotest.(check bool) "default engine is tree" true
-    (Json.member "engine" default = Some (Json.String "tree"));
-  let sweep =
-    result_of
-      (handle
-         {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[7,14],"engine":"arena"}|})
-  in
-  Alcotest.(check bool) "sweep echoes engine" true
-    (Json.member "engine" sweep = Some (Json.String "arena"))
-
-let test_engine_wire_identity () =
-  (* Tree and arena responses differ only in the echoed engine: the
-     point lists are byte-identical. *)
-  let pts engine =
-    List.map Json.to_string
-      (points_of (result_of (handle (explore_body (Some engine)))))
-  in
-  Alcotest.(check (list string)) "points byte-identical" (pts "tree")
-    (pts "arena")
-
-let test_capabilities_engines () =
-  let result = result_of (handle {|{"kind":"capabilities"}|}) in
-  match Json.member "bet_engines" result with
-  | Some (Json.List l) ->
-    Alcotest.(check (list string))
-      "advertised engines" [ "tree"; "arena" ]
-      (List.filter_map (function Json.String s -> Some s | _ -> None) l)
-  | _ -> Alcotest.fail "capabilities missing bet_engines"
+(* Older clients may still send an ["engine"] field.  Whatever its
+   value, the reply is byte-for-byte the one the same body gets
+   without it (both carry the same trace id). *)
+let test_engine_field_ignored () =
+  List.iter
+    (fun (kind, fields) ->
+      let body extra =
+        Printf.sprintf {|{"kind":%S,%s%s,"trace":{"id":"t-engine"}}|} kind
+          fields extra
+      in
+      let expected = handle (body "") in
+      ignore (result_of expected);
+      List.iter
+        (fun engine ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s with engine %s" kind engine)
+            expected
+            (handle (body (",\"engine\":" ^ engine))))
+        [ {|"tree"|}; {|"warp"|}; "7" ])
+    [
+      ("analyze", {|"workload":"sord","machine":"bgq"|});
+      ( "sweep",
+        {|"workload":"sord","machine":"bgq","axis":"bw","values":[7,14]|} );
+      ( "explore",
+        {|"workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}]|}
+      );
+    ]
 
 (* --- prepared-BET reuse across requests ------------------------------ *)
 
-let analyze_body ~workload ~machine ~engine =
+let analyze_body ~workload ~machine =
   Printf.sprintf
-    {|{"kind":"analyze","workload":%S,"machine":%S,"engine":%S,"trace":{"id":"t-prep"}}|}
-    workload machine engine
+    {|{"kind":"analyze","workload":%S,"machine":%S,"trace":{"id":"t-prep"}}|}
+    workload machine
 
 (* An analyze priced on a prepared handle left behind by an earlier
    request (same workload, other machine) replies with exactly the
-   bytes a fresh dispatcher computes from scratch, on every workload,
-   machine and engine. *)
+   bytes a fresh dispatcher computes from scratch, on every workload
+   and machine. *)
 let test_warm_prefix_identity () =
   List.iter
     (fun (w : Registry.t) ->
       List.iter
-        (fun engine ->
-          List.iter
-            (fun (machine, other) ->
-              let body = analyze_body ~workload:w.Registry.name ~engine in
-              let warm = Service.Dispatch.create () in
-              ignore (handle ~dispatch:warm (body ~machine:other));
-              let reused = handle ~dispatch:warm (body ~machine) in
-              let fresh = handle (body ~machine) in
-              Alcotest.(check string)
-                (Printf.sprintf "%s/%s/%s" w.Registry.name machine engine)
-                fresh reused)
-            [ ("bgq", "xeon"); ("xeon", "bgq") ])
-        [ "tree"; "arena" ])
+        (fun (machine, other) ->
+          let body = analyze_body ~workload:w.Registry.name in
+          with_dispatch @@ fun warm ->
+          ignore (handle ~dispatch:warm (body ~machine:other));
+          let reused = handle ~dispatch:warm (body ~machine) in
+          let fresh = handle (body ~machine) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s" w.Registry.name machine)
+            fresh reused)
+        [ ("bgq", "xeon"); ("xeon", "bgq") ])
     Registry.all
 
 (* The same for a fan-out: a sweep and an explore (points and pareto)
    whose prepared handle comes from an earlier analyze. *)
 let test_warm_prefix_fanout_identity () =
   let check label body =
-    let warm = Service.Dispatch.create () in
+    with_dispatch @@ fun warm ->
     ignore
-      (handle ~dispatch:warm
-         (analyze_body ~workload:"sord" ~machine:"xeon" ~engine:"arena"));
-    ignore
-      (handle ~dispatch:warm
-         (analyze_body ~workload:"sord" ~machine:"xeon" ~engine:"tree"));
+      (handle ~dispatch:warm (analyze_body ~workload:"sord" ~machine:"xeon"));
     let reused = handle ~dispatch:warm body in
     Alcotest.(check string) label (handle body) reused;
     match Json.member "pareto" (result_of reused) with
@@ -449,7 +422,7 @@ let test_warm_prefix_fanout_identity () =
   check "sweep"
     {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[7,14,28],"trace":{"id":"t-prep"}}|};
   check "explore"
-    {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}],"engine":"arena","trace":{"id":"t-prep"}}|}
+    {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}],"trace":{"id":"t-prep"}}|}
 
 let suite =
   [
@@ -476,14 +449,10 @@ let suite =
       ] );
     ( "arena.protocol",
       [
-        Alcotest.test_case "engine parse" `Quick test_engine_parse;
-        Alcotest.test_case "unknown engine rejected" `Quick
-          test_engine_rejected;
-        Alcotest.test_case "engine echoed" `Quick test_engine_echoed;
-        Alcotest.test_case "tree/arena wire identity" `Quick
-          test_engine_wire_identity;
-        Alcotest.test_case "capabilities advertise engines" `Quick
-          test_capabilities_engines;
+        Alcotest.test_case "served analyze = tree walk" `Quick
+          test_served_matches_tree;
+        Alcotest.test_case "engine field ignored" `Quick
+          test_engine_field_ignored;
       ] );
     ( "arena.prepared_cache",
       [

@@ -271,8 +271,7 @@ let test_rule_deadlock () =
 
 (* --- skoped protocol + dispatch parity ------------------------------ *)
 
-let handle ?(dispatch = Service.Dispatch.create ()) body =
-  Service.Dispatch.handle dispatch body
+let handle = Support.handle
 
 let error_code response =
   match Json.of_string response with
@@ -333,7 +332,7 @@ let test_service_api_audit_roundtrip () =
   | Error (_, m) -> Alcotest.failf "built body does not parse: %s" m
 
 let test_dispatch_audit_workload () =
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   let r = result_of (handle ~dispatch {|{"kind":"audit","workload":"sord"}|}) in
   Alcotest.(check bool) "no errors on sord" true
     (Json.member "errors" r = Some (Json.Int 0));

@@ -307,7 +307,7 @@ let test_cluster_stats_kind () =
   | Ok _ -> Alcotest.fail "parsed to the wrong request"
   | Error (_, m) -> Alcotest.failf "parse failed: %s" m);
   (* a single-process skoped refuses it, pointing at the router *)
-  let d = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun d ->
   let resp = Service.Dispatch.handle d body in
   match Api.parse_response resp with
   | Ok r ->

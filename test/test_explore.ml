@@ -16,8 +16,7 @@ module Span = Core.Telemetry.Span
 let bgq () = Option.get (Machines.find "bgq")
 let sord () = Option.get (Registry.find "sord")
 
-let handle ?received_at ?(dispatch = Service.Dispatch.create ()) body =
-  Service.Dispatch.handle ?received_at dispatch body
+let handle = Support.handle
 
 let result_of response =
   match Json.of_string response with
@@ -222,7 +221,7 @@ let test_explore_matches_sweep () =
     (List.map Json.to_string explore_pts)
 
 let test_explore_response_shape () =
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   let resp =
     handle ~dispatch
       {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"freq","values":[0.8,1.6]},{"axis":"bw","values":[7,28]}]}|}

@@ -119,8 +119,7 @@ let prop_roundtrip =
 
 (* --- protocol / dispatch ------------------------------------------- *)
 
-let handle ?received_at ?(dispatch = Service.Dispatch.create ()) body =
-  Service.Dispatch.handle ?received_at dispatch body
+let handle = Support.handle
 
 let error_code response =
   match Json.of_string response with
@@ -164,11 +163,9 @@ let test_protocol_errors () =
     {|{"kind":"analyze","workload":"sord","machine":"bgq","timeout_ms":0}|}
 
 let test_oversized () =
-  let dispatch =
-    Service.Dispatch.create
-      ~config:{ Service.Dispatch.max_request_bytes = 64; cache_capacity = 4 }
-      ()
-  in
+  Support.with_dispatch
+    ~config:{ Service.Dispatch.max_request_bytes = 64; cache_capacity = 4 }
+  @@ fun dispatch ->
   let body =
     Printf.sprintf {|{"kind":"stats","pad":%S}|} (String.make 200 'x')
   in
@@ -193,7 +190,7 @@ let test_deadline_exceeded () =
 let test_catalogs_and_stats () =
   Alcotest.(check bool) "workloads" true (is_ok (handle {|{"kind":"workloads"}|}));
   Alcotest.(check bool) "machines" true (is_ok (handle {|{"kind":"machines"}|}));
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   let resp = handle ~dispatch {|{"kind":"stats"}|} in
   Alcotest.(check bool) "stats ok" true (is_ok resp);
   let v = Service.Metrics.view dispatch.Service.Dispatch.metrics in
@@ -201,7 +198,7 @@ let test_catalogs_and_stats () =
 
 let test_worker_never_crashes () =
   (* A grab bag of hostile bodies must all produce JSON envelopes. *)
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   List.iter
     (fun body ->
       let resp = handle ~dispatch body in
@@ -231,7 +228,7 @@ let result_of resp =
   | Error e -> Alcotest.failf "response is not JSON (%s): %s" e resp
 
 let test_lint_workload () =
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   let r = result_of (handle ~dispatch {|{"kind":"lint","workload":"sord"}|}) in
   Alcotest.(check bool) "sord is clean" true
     (Json.member "clean" r = Some (Json.Bool true));
@@ -311,7 +308,7 @@ let sweep_body =
 let view d = Service.Metrics.view d.Service.Dispatch.metrics
 
 let test_analyze_cache_hit () =
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   let r1 = handle ~dispatch analyze_body in
   let v1 = view dispatch in
   Alcotest.(check int) "first is a miss" 1 v1.Service.Metrics.cache_misses;
@@ -323,7 +320,7 @@ let test_analyze_cache_hit () =
   Alcotest.(check int) "no new miss" 1 v2.Service.Metrics.cache_misses
 
 let test_sweep_cache () =
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   let r1 = handle ~dispatch sweep_body in
   let v1 = view dispatch in
   Alcotest.(check bool) "sweep ok" true (is_ok r1);
@@ -340,7 +337,7 @@ let test_override_shares_sweep_slot () =
   (* A sweep point and an equivalent parameter-override analyze have
      the same fingerprint, so the second is served from the first's
      cache slot. *)
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   ignore (handle ~dispatch sweep_body);
   let misses_after_sweep = (view dispatch).Service.Metrics.cache_misses in
   let resp =
@@ -354,7 +351,7 @@ let test_override_shares_sweep_slot () =
   Alcotest.(check int) "served from sweep's slot" 1 v.Service.Metrics.cache_hits
 
 let test_different_queries_different_results () =
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   let r1 = handle ~dispatch analyze_body in
   let r2 =
     handle ~dispatch
@@ -370,16 +367,16 @@ let counter name =
   Option.value ~default:0.
     (List.assoc_opt name (Core.Telemetry.Span.counters ()))
 
-let bw_body ?(engine = "tree") bw =
+let bw_body bw =
   Printf.sprintf
-    {|{"kind":"analyze","workload":"cfd","machine":"bgq","engine":%S,"overrides":{"mem_bw_gbs":%g},"trace":{"id":"t-bw"}}|}
-    engine bw
+    {|{"kind":"analyze","workload":"cfd","machine":"bgq","overrides":{"mem_bw_gbs":%g},"trace":{"id":"t-bw"}}|}
+    bw
 
 (* A second machine on a workload reuses the first one's prepared
    handle: no BET is built, the reuse counter moves, and the cache
    shows up in stats and in the Prometheus exposition. *)
 let test_prepared_reuse () =
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   ignore (handle ~dispatch (bw_body 5.));
   let builds = counter "prepared_builds" in
   let reuses = counter "prepared_reuse_hits" in
@@ -426,18 +423,12 @@ let test_prepared_reuse () =
    pricing distinct machines of one workload through one dispatcher
    get the bytes a sequential run gets. *)
 let test_prepared_shared_across_domains () =
-  let bodies =
-    List.concat_map
-      (fun engine ->
-        List.init 8 (fun i -> bw_body ~engine (float_of_int (i + 3))))
-      [ "tree"; "arena" ]
-    |> Array.of_list
-  in
+  let bodies = Array.init 16 (fun i -> bw_body (float_of_int (i + 3))) in
   let sequential =
-    let dispatch = Service.Dispatch.create () in
+    Support.with_dispatch @@ fun dispatch ->
     Array.map (handle ~dispatch) bodies
   in
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   let replies = Array.make (Array.length bodies) "" in
   let workers =
     List.init 4 (fun d ->
@@ -820,7 +811,7 @@ let trace_id_of resp =
   | Error e -> Alcotest.failf "response is not JSON (%s): %s" e resp
 
 let test_trace_id_echoed () =
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   (* Caller-supplied ids are adopted verbatim... *)
   Alcotest.(check (option string))
     "ok response echoes caller id" (Some "caller-1")
@@ -860,7 +851,7 @@ let test_trace_validation () =
 
 let test_recent_roundtrip () =
   let module A = Service.Service_api in
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   ignore
     (handle ~dispatch
        {|{"kind":"analyze","workload":"pedagogical","machine":"bgq","trace":{"id":"seen-1"}}|});
@@ -903,7 +894,7 @@ let test_recent_roundtrip () =
 
 let test_trace_kind_roundtrip () =
   let module A = Service.Service_api in
-  let dispatch = Service.Dispatch.create () in
+  Support.with_dispatch @@ fun dispatch ->
   ignore
     (handle ~dispatch
        {|{"kind":"analyze","workload":"pedagogical","machine":"bgq","trace":{"id":"deep-1"}}|});

@@ -185,8 +185,9 @@ let test_noop_overhead () =
   (* With no sink installed, with_ must be no more than a closure
      call: run a million of them and insist on a very generous bound
      so the test never flakes on loaded CI.  Earlier suites may have
-     installed process-global sinks (every Dispatch.create does);
-     drop them so we measure the disabled fast path. *)
+     left process-global sinks installed (an open dispatcher or a
+     router has some); drop them so we measure the disabled fast
+     path. *)
   Span.clear_sinks ();
   Alcotest.(check bool) "no sinks installed" false (Span.enabled ());
   let t0 = Unix.gettimeofday () in
@@ -483,7 +484,7 @@ let contains text needle =
   go 0
 
 let test_dispatch_metrics_prom () =
-  let d = Dispatch.create () in
+  Support.with_dispatch @@ fun d ->
   ignore
     (Dispatch.handle d
        {|{"kind":"analyze","workload":"pedagogical","machine":"bgq"}|});
@@ -520,7 +521,7 @@ let test_dispatch_metrics_prom () =
     (contains body "skope_request_latency_seconds_bucket")
 
 let test_dispatch_version () =
-  let d = Dispatch.create () in
+  Support.with_dispatch @@ fun d ->
   let resp = decode (Dispatch.handle d {|{"kind":"version"}|}) in
   let field key =
     Option.bind (Json.member "result" resp) (Json.member key)
@@ -532,7 +533,7 @@ let test_dispatch_version () =
   Alcotest.(check bool) "describe present" true (field "describe" <> None)
 
 let test_dispatch_phase_stats () =
-  let d = Dispatch.create () in
+  Support.with_dispatch @@ fun d ->
   Metrics.reset d.Dispatch.metrics;
   ignore
     (Dispatch.handle d
@@ -552,6 +553,30 @@ let test_dispatch_phase_stats () =
       (* Exact small-n percentile: with one sample p99 = p50. *)
       if s.Hist.count = 1 then feq (name ^ " p99=p50 at n=1") s.Hist.p50 s.Hist.p99)
     [ "bet_build"; "eval"; "report"; "request" ]
+
+(* [close] takes a dispatcher's sinks off the process-global bus: the
+   spans of requests another dispatcher serves reach its per-phase
+   histograms while it is open, and no longer once it is closed. *)
+let test_dispatch_close () =
+  let body = {|{"kind":"analyze","workload":"pedagogical","machine":"bgq"}|} in
+  let serve_elsewhere () =
+    Support.with_dispatch (fun other -> ignore (Dispatch.handle other body))
+  in
+  let d = Dispatch.create () in
+  let phases () =
+    List.map
+      (fun (name, s) -> (name, s.Hist.count))
+      (Metrics.view d.Dispatch.metrics).Metrics.phases
+  in
+  let before = phases () in
+  serve_elsewhere ();
+  let open_ = phases () in
+  Alcotest.(check bool) "open dispatcher sees other requests' spans" true
+    (open_ <> before);
+  Dispatch.close d;
+  serve_elsewhere ();
+  Alcotest.(check (list (pair string int)))
+    "closed dispatcher's phases unchanged" open_ (phases ())
 
 let suite =
   [
@@ -611,5 +636,6 @@ let suite =
           test_dispatch_metrics_prom;
         Alcotest.test_case "version request" `Quick test_dispatch_version;
         Alcotest.test_case "per-phase stats" `Quick test_dispatch_phase_stats;
+        Alcotest.test_case "close detaches sinks" `Quick test_dispatch_close;
       ] );
   ]
